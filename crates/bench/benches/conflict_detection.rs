@@ -49,7 +49,7 @@ fn main() {
             g.bench(format!("dynamic_traced_run/{pairs}"), || {
                 let mut sim = RtSimulation::traced(&model).expect("elaborates");
                 sim.run_to_completion().expect("runs");
-                sim.conflicts().expect("traced")
+                sim.conflicts()
             });
             g.bench(format!("static_analysis/{pairs}"), || {
                 static_conflicts(&model)

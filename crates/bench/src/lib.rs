@@ -114,7 +114,7 @@ mod tests {
         let m = dense_model(4, 3);
         let mut sim = RtSimulation::traced(&m).unwrap();
         let summary = sim.run_to_completion().unwrap();
-        assert!(summary.conflicts.as_ref().unwrap().is_clean());
+        assert!(summary.conflicts.is_clean());
         // A_0 = 1 + 3 * 1
         assert_eq!(summary.register("A0"), Some(Value::Num(4)));
     }
@@ -124,7 +124,7 @@ mod tests {
         let m = conflicted_model(3);
         let mut sim = RtSimulation::traced(&m).unwrap();
         let summary = sim.run_to_completion().unwrap();
-        let report = summary.conflicts.unwrap();
+        let report = summary.conflicts;
         for i in 0..3 {
             assert!(
                 report.on(&format!("X{i}")).count() >= 1,

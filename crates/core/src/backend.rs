@@ -178,8 +178,9 @@ pub struct OptConfig {
 /// Options for one backend execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecOptions {
-    /// Record the full waveform. Required for conflict localization, the
-    /// commit log and VCD export; costs memory and time.
+    /// Record the full waveform: governs only the commit log and VCD
+    /// export, and costs memory and time. Conflict localization does not
+    /// need it — every engine records `ILLEGAL` transitions inline.
     pub trace: bool,
     /// Per-instant delta-cycle budget; `None` uses the kernel default
     /// (10^8). Exceeding it fails the run with
@@ -213,8 +214,8 @@ impl ExecOptions {
 /// The complete observable output of one model execution.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// Run summary: kernel statistics, final registers and (when traced)
-    /// the conflict report.
+    /// Run summary: kernel statistics, final registers and the conflict
+    /// report (filled in traced or not).
     pub summary: RunSummary,
     /// The register-commit log (`None` when not traced).
     pub commits: Option<Vec<RegisterCommit>>,
@@ -229,7 +230,7 @@ pub struct ExecOutcome {
 pub struct BatchOutcome {
     /// Final register values, in declaration order.
     pub registers: Vec<(String, Value)>,
-    /// The run's first `ILLEGAL` transition, localized like the traced
+    /// The run's first `ILLEGAL` transition, localized like the solo
     /// engines' conflict report (`ConflictReport::first`).
     pub first_conflict: Option<Conflict>,
     /// The column's kernel counters — identical to the stats a solo run
@@ -427,7 +428,7 @@ mod tests {
         for b in [Backend::Interpreted, Backend::Compiled] {
             let out = b.execute(&model, &ExecOptions::default()).unwrap();
             assert_eq!(out.summary.register("R1"), Some(Value::Num(3)), "{b}");
-            assert!(out.summary.conflicts.is_none(), "{b}");
+            assert!(out.summary.conflicts.is_clean(), "{b}");
             assert!(out.commits.is_none(), "{b}");
             assert!(out.vcd.is_none(), "{b}");
         }

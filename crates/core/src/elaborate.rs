@@ -8,8 +8,9 @@
 
 use clockless_kernel::{SignalId, Simulator};
 
+use crate::diag::{Conflict, ConflictReport, ConflictSite};
 use crate::model::RtModel;
-use crate::phase::Phase;
+use crate::phase::{Phase, PhaseTime};
 use crate::processes::{
     Controller, GuardSrc, MemCommit, ModuleProc, Reg, Trans, TransGuard, TransSource,
 };
@@ -19,8 +20,9 @@ use crate::value::{kernel_resolver, Value};
 /// Options controlling elaboration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ElaborateOptions {
-    /// Record a full waveform (required for conflict localization and
-    /// register-commit logs; costs memory and time).
+    /// Record a full waveform (required for register-commit logs and VCD
+    /// export; costs memory and time). Conflict localization works
+    /// either way.
     pub trace: bool,
     /// Keep transfer processes waking on every `CS`/`PH` event even after
     /// they have completed, exactly as a literal VHDL `wait until` would.
@@ -79,6 +81,52 @@ impl SignalRole {
     pub fn mem_word_name(mem: &str, index: u32) -> String {
         format!("{mem}[{index}]")
     }
+
+    /// The conflict site an `ILLEGAL` value on this signal diagnoses,
+    /// with the name of the poisoned object; `None` for the controller's
+    /// `CS`/`PH` signals, which never carry a resource conflict.
+    ///
+    /// The one role-to-site mapping every engine's conflict report and
+    /// the static pre-pass share.
+    pub fn conflict_site(&self) -> Option<(ConflictSite, String)> {
+        Some(match self {
+            SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
+            SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => (ConflictSite::ModulePort, n.clone()),
+            SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
+            SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
+            SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
+            SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
+            SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
+                (ConflictSite::MemoryPort, n.clone())
+            }
+            SignalRole::MemWord { mem, index } => (
+                ConflictSite::MemoryWord,
+                SignalRole::mem_word_name(mem, *index),
+            ),
+            SignalRole::ControlStep | SignalRole::PhaseSignal => return None,
+        })
+    }
+}
+
+/// Builds the conflict report from an engine's inline `ILLEGAL` log of
+/// `(delta, role of the signal)` pairs, in chronological order.
+/// Initialization-delta entries and control signals are dropped.
+pub(crate) fn conflict_report<'a>(
+    illegal: impl IntoIterator<Item = (u64, &'a SignalRole)>,
+) -> ConflictReport {
+    let conflicts = illegal
+        .into_iter()
+        .filter_map(|(delta, role)| {
+            let visible_at = PhaseTime::from_active_delta(delta)?;
+            let (site, name) = role.conflict_site()?;
+            Some(Conflict {
+                site,
+                name,
+                visible_at,
+            })
+        })
+        .collect();
+    ConflictReport { conflicts }
 }
 
 /// The signal map produced by elaboration.

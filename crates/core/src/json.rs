@@ -61,13 +61,16 @@ pub enum Json {
 impl Json {
     /// Parses one complete JSON document from `text`.
     ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep, so a
+    /// hostile document cannot exhaust the parser's stack.
+    ///
     /// # Errors
     ///
     /// A human-readable message naming the byte offset of the problem.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -136,12 +139,24 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The protocol
+/// and artifact documents nest three or four levels; the bound only
+/// stops a hostile line from overflowing the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
+/// `depth` counts the arrays and objects enclosing the value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -249,7 +264,7 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
     u32::from_str_radix(text, 16).map_err(|_| "invalid \\u escape".to_string())
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -258,7 +273,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -271,7 +286,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut fields: Vec<(String, Json)> = Vec::new();
     skip_ws(bytes, pos);
@@ -290,7 +305,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         if !fields.iter().any(|(k, _)| *k == key) {
             fields.push((key, value));
         }
@@ -359,10 +374,10 @@ pub fn sim_stats(s: &SimStats) -> String {
     )
 }
 
-/// Renders one traced run as the deterministic JSON document printed by
+/// Renders one run as the deterministic JSON document printed by
 /// `clockless run --json` — and, byte-identically, returned by the serve
 /// daemon's `run` job. No wall-clock fields; identical runs produce
-/// identical documents on any machine.
+/// identical documents on any machine, traced or not.
 ///
 /// # Examples
 ///
@@ -372,7 +387,7 @@ pub fn sim_stats(s: &SimStats) -> String {
 /// use clockless_core::model::fig1_model;
 ///
 /// let model = fig1_model(3, 4);
-/// let outcome = Backend::Interpreted.execute(&model, &ExecOptions::traced())?;
+/// let outcome = Backend::Interpreted.execute(&model, &ExecOptions::default())?;
 /// let doc = run_report(&model, &outcome.summary);
 /// assert!(doc.contains("\"model\": \"fig1_example\""));
 /// assert!(doc.contains("{\"name\": \"R1\", \"value\": \"7\"}"));
@@ -405,11 +420,7 @@ pub fn run_report(model: &RtModel, summary: &RunSummary) -> String {
         );
     }
     out.push_str("],\n  \"conflicts\": [");
-    let conflicts = summary
-        .conflicts
-        .as_ref()
-        .map(|c| c.conflicts.as_slice())
-        .unwrap_or(&[]);
+    let conflicts = &summary.conflicts.conflicts;
     for (k, c) in conflicts.iter().enumerate() {
         let comma = if k + 1 == conflicts.len() { "" } else { ", " };
         let _ = write!(out, "\"{}\"{}", escape(&c.to_string()), comma);
@@ -498,5 +509,24 @@ mod tests {
             .expect("runs");
         let doc = run_report(&model, &outcome.summary);
         assert!(doc.contains("ILLEGAL on bus `X`"), "{doc}");
+        // Conflict sites do not depend on tracing: every engine records
+        // them inline, so the untraced documents are byte-identical.
+        for backend in [Backend::Interpreted, Backend::Compiled] {
+            let untraced = backend
+                .execute(&model, &ExecOptions::default())
+                .expect("runs");
+            assert_eq!(run_report(&model, &untraced.summary), doc, "{backend}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&over).expect_err("too deep");
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the limit, and unterminated: still a plain error.
+        assert!(Json::parse(&"[{\"k\":".repeat(200_000)).is_err());
     }
 }

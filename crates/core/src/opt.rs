@@ -438,7 +438,8 @@ impl OptPlan {
         let mut busy: Vec<u32> = vec![0; plan.modules.len()];
 
         let mut trace: Option<Trace<Value>> = options.trace.then(Trace::new);
-        let mut events: Vec<(u64, usize, Value)> = Vec::new();
+        // (delta, signal) of every ILLEGAL transition, traced or not.
+        let mut illegal: Vec<(u64, usize)> = Vec::new();
         if let Some(t) = &mut trace {
             for (i, s) in plan.signals.iter().enumerate() {
                 t.push(SimTime::ZERO, SignalId::from_index(i), s.init);
@@ -486,13 +487,15 @@ impl OptPlan {
                 if effective != values[sig] {
                     values[sig] = effective;
                     stats.events += 1;
+                    if effective == Value::Illegal {
+                        illegal.push((d, sig));
+                    }
                     if let Some(t) = &mut trace {
                         t.push(
                             SimTime { fs: 0, delta: d },
                             SignalId::from_index(sig),
                             effective,
                         );
-                        events.push((d, sig, effective));
                     }
                 }
             }
@@ -636,8 +639,8 @@ impl OptPlan {
             }
         }
 
-        let conflicts = trace.as_ref().map(|_| plan.dynamic_conflicts(&events));
-        let commits = trace.as_ref().map(|_| plan.commit_log(&events));
+        let conflicts = plan.dynamic_conflicts(&illegal);
+        let commits = trace.as_ref().map(|t| plan.commit_log(t));
         let vcd = trace.as_ref().map(|t| {
             let names: Vec<String> = plan.signals.iter().map(|s| s.name.clone()).collect();
             t.to_vcd(&names)

@@ -36,7 +36,7 @@ use clockless_kernel::{KernelError, SignalId, SimStats, SimTime, Trace};
 use crate::backend::{BatchOutcome, ExecOptions, ExecOutcome};
 use crate::check::{CheckEval, CheckProgram, SignalKind};
 use crate::diag::{Conflict, ConflictReport, ConflictSite};
-use crate::elaborate::SignalRole;
+use crate::elaborate::{conflict_report, SignalRole};
 use crate::model::RtModel;
 use crate::op::Op;
 use crate::phase::{Phase, PhaseTime, Step};
@@ -782,23 +782,8 @@ impl ExecPlan {
             for (dst, n) in counts.into_iter().filter(|&(_, n)| n > 1) {
                 let at = PhaseTime::from_active_delta(i as u64 + 1)
                     .expect("slot deltas are active by construction");
-                let (site, name) = match &signals[dst].role {
-                    SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                    SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                        (ConflictSite::ModulePort, n.clone())
-                    }
-                    SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                    SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                    SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                    SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                    SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                        (ConflictSite::MemoryPort, n.clone())
-                    }
-                    SignalRole::MemWord { mem, index } => (
-                        ConflictSite::MemoryWord,
-                        SignalRole::mem_word_name(mem, *index),
-                    ),
-                    SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
+                let Some((site, name)) = signals[dst].role.conflict_site() else {
+                    continue;
                 };
                 static_conflicts.push(StaticConflict {
                     name,
@@ -904,9 +889,8 @@ impl ExecPlan {
         let mut busy: Vec<u32> = vec![0; self.modules.len()];
 
         let mut trace: Option<Trace<Value>> = options.trace.then(Trace::new);
-        // (delta, signal, value) of every event, for conflict/commit
-        // extraction; only kept while tracing.
-        let mut events: Vec<(u64, usize, Value)> = Vec::new();
+        // (delta, signal) of every ILLEGAL transition, traced or not.
+        let mut illegal: Vec<(u64, usize)> = Vec::new();
         if let Some(t) = &mut trace {
             for (i, s) in self.signals.iter().enumerate() {
                 t.push(SimTime::ZERO, SignalId::from_index(i), s.init);
@@ -943,13 +927,15 @@ impl ExecPlan {
                 if effective != values[sig] {
                     values[sig] = effective;
                     stats.events += 1;
+                    if effective == Value::Illegal {
+                        illegal.push((d, sig));
+                    }
                     if let Some(t) = &mut trace {
                         t.push(
                             SimTime { fs: 0, delta: d },
                             SignalId::from_index(sig),
                             effective,
                         );
-                        events.push((d, sig, effective));
                     }
                 }
             }
@@ -1073,8 +1059,8 @@ impl ExecPlan {
             }
         }
 
-        let conflicts = trace.as_ref().map(|_| self.dynamic_conflicts(&events));
-        let commits = trace.as_ref().map(|_| self.commit_log(&events));
+        let conflicts = self.dynamic_conflicts(&illegal);
+        let commits = trace.as_ref().map(|t| self.commit_log(t));
         let vcd = trace.as_ref().map(|t| {
             let names: Vec<String> = self.signals.iter().map(|s| s.name.clone()).collect();
             t.to_vcd(&names)
@@ -1091,62 +1077,34 @@ impl ExecPlan {
         })
     }
 
-    /// `ILLEGAL`-valued events localized to step and phase (the same
-    /// extraction `RtSimulation::conflicts` performs on the trace).
-    pub(crate) fn dynamic_conflicts(&self, events: &[(u64, usize, Value)]) -> ConflictReport {
-        let mut conflicts = Vec::new();
-        for &(delta, sig, value) in events {
-            if value != Value::Illegal {
-                continue;
-            }
-            let Some(visible_at) = PhaseTime::from_active_delta(delta) else {
-                continue;
-            };
-            let (site, name) = match &self.signals[sig].role {
-                SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                    (ConflictSite::ModulePort, n.clone())
-                }
-                SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                    (ConflictSite::MemoryPort, n.clone())
-                }
-                SignalRole::MemWord { mem, index } => (
-                    ConflictSite::MemoryWord,
-                    SignalRole::mem_word_name(mem, *index),
-                ),
-                SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
-            };
-            conflicts.push(Conflict {
-                site,
-                name,
-                visible_at,
-            });
-        }
-        ConflictReport { conflicts }
+    /// `ILLEGAL` transitions, logged inline as `(delta, signal)`,
+    /// localized to step and phase.
+    pub(crate) fn dynamic_conflicts(&self, illegal: &[(u64, usize)]) -> ConflictReport {
+        conflict_report(
+            illegal
+                .iter()
+                .map(|&(delta, sig)| (delta, &self.signals[sig].role)),
+        )
     }
 
-    /// Register-output and memory-word events attributed to the storing
-    /// step (the same extraction `RtSimulation::register_commits`
-    /// performs).
-    pub(crate) fn commit_log(&self, events: &[(u64, usize, Value)]) -> Vec<RegisterCommit> {
+    /// Register-output and memory-word events of the recorded waveform,
+    /// attributed to the storing step (the same extraction
+    /// `RtSimulation::register_commits` performs).
+    pub(crate) fn commit_log(&self, trace: &Trace<Value>) -> Vec<RegisterCommit> {
         let mut commits = Vec::new();
-        for &(delta, sig, value) in events {
-            let register = match &self.signals[sig].role {
+        for e in trace.events() {
+            let register = match &self.signals[e.signal.index()].role {
                 SignalRole::RegOut(name) => name.clone(),
                 SignalRole::MemWord { mem, index } => SignalRole::mem_word_name(mem, *index),
                 _ => continue,
             };
-            let Some(pt) = PhaseTime::from_active_delta(delta) else {
+            let Some(pt) = PhaseTime::from_active_delta(e.at.delta) else {
                 continue; // initial value, not a commit
             };
             commits.push(RegisterCommit {
                 register,
                 step: pt.step - 1,
-                value,
+                value: e.value,
             });
         }
         commits
@@ -1931,8 +1889,8 @@ impl ExecPlan {
         }
 
         // The lockstep walk. Per-column dynamic counters and the
-        // first-`ILLEGAL` latch replace the solo engines' trace-based
-        // extraction.
+        // first-`ILLEGAL` latch stand in for the solo engines' inline
+        // conflict logs.
         let mut ev_count = vec![0u64; n];
         let mut du_count = vec![0u64; n];
         let mut peak_pending = vec![0u64; n];
@@ -2252,24 +2210,7 @@ impl ExecPlan {
             let first_conflict = first_ill[c].and_then(|(sig, delta)| {
                 let visible_at = PhaseTime::from_active_delta(delta)?;
                 let (site, name) = if sig < s0 {
-                    match &self.signals[sig].role {
-                        SignalRole::Bus(nm) => (ConflictSite::Bus, nm.clone()),
-                        SignalRole::ModIn1(nm) | SignalRole::ModIn2(nm) => {
-                            (ConflictSite::ModulePort, nm.clone())
-                        }
-                        SignalRole::ModOp(nm) => (ConflictSite::ModuleOpPort, nm.clone()),
-                        SignalRole::ModOut(nm) => (ConflictSite::ModuleOut, nm.clone()),
-                        SignalRole::RegIn(nm) => (ConflictSite::RegisterPort, nm.clone()),
-                        SignalRole::RegOut(nm) => (ConflictSite::RegisterValue, nm.clone()),
-                        SignalRole::MemWin(nm) | SignalRole::MemWaddr(nm) => {
-                            (ConflictSite::MemoryPort, nm.clone())
-                        }
-                        SignalRole::MemWord { mem, index } => (
-                            ConflictSite::MemoryWord,
-                            SignalRole::mem_word_name(mem, *index),
-                        ),
-                        SignalRole::ControlStep | SignalRole::PhaseSignal => return None,
-                    }
+                    self.signals[sig].role.conflict_site()?
                 } else {
                     let name = d
                         .spur
@@ -2410,8 +2351,7 @@ mod tests {
         assert_eq!(i.summary.registers, c.summary.registers, "registers");
         assert_eq!(i.summary.stats, c.summary.stats, "stats");
         assert_eq!(
-            i.summary.conflicts.as_ref().map(|r| &r.conflicts),
-            c.summary.conflicts.as_ref().map(|r| &r.conflicts),
+            i.summary.conflicts.conflicts, c.summary.conflicts.conflicts,
             "conflicts"
         );
         assert_eq!(i.commits, c.commits, "commits");
@@ -2581,7 +2521,7 @@ mod tests {
 
         assert_equivalent(&model);
         let out = compiled_traced(&model);
-        let report = out.summary.conflicts.unwrap();
+        let report = out.summary.conflicts;
         assert!(
             report.on("B1").any(|c| c.site == ConflictSite::Bus),
             "{report:?}"
@@ -2688,7 +2628,7 @@ mod tests {
                 );
                 assert_eq!(
                     out.first_conflict.as_ref(),
-                    solo.summary.conflicts.as_ref().unwrap().first(),
+                    solo.summary.conflicts.first(),
                     "column {i} conflict at -O{level}"
                 );
                 assert_eq!(
@@ -2940,7 +2880,7 @@ mod tests {
         // The true guard fires, the false one drives DISC instead.
         assert_eq!(out.summary.register("R1"), Some(Value::Num(7)));
         assert_eq!(out.summary.register("A[1]"), Some(Value::Num(1)));
-        assert!(out.summary.conflicts.as_ref().unwrap().is_clean());
+        assert!(out.summary.conflicts.is_clean());
         // A suppressed transfer still wakes its processes and drives its
         // slot (with DISC), so the scheduling counters are
         // guard-independent; only value-event counts may differ.
@@ -3062,7 +3002,7 @@ mod tests {
         assert_eq!(out.summary.register("M[0]"), Some(Value::Num(7)));
         assert_eq!(out.summary.register("M[1]"), Some(Value::Num(5)));
         assert_eq!(out.summary.register("M[2]"), Some(Value::Num(5)));
-        assert!(out.summary.conflicts.as_ref().unwrap().is_clean());
+        assert!(out.summary.conflicts.is_clean());
     }
 
     #[test]
@@ -3087,7 +3027,7 @@ mod tests {
         for w in ["M[0]", "M[1]", "M[2]"] {
             assert_eq!(out.summary.register(w), Some(Value::Illegal), "{w}");
         }
-        let report = out.summary.conflicts.unwrap();
+        let report = out.summary.conflicts;
         assert!(
             report
                 .conflicts

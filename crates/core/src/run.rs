@@ -6,8 +6,8 @@
 
 use clockless_kernel::{KernelError, SimStats, Simulator, StepOutcome};
 
-use crate::diag::{Conflict, ConflictReport, ConflictSite};
-use crate::elaborate::{elaborate, ElaborateOptions, SignalLayout, SignalRole};
+use crate::diag::ConflictReport;
+use crate::elaborate::{conflict_report, elaborate, ElaborateOptions, SignalLayout, SignalRole};
 use crate::model::RtModel;
 use crate::phase::{PhaseTime, Step, PHASES_PER_STEP};
 use crate::value::Value;
@@ -30,8 +30,9 @@ pub struct RunSummary {
     pub stats: SimStats,
     /// Final value of every register, in declaration order.
     pub registers: Vec<(String, Value)>,
-    /// Conflict report (`None` when the run was not traced).
-    pub conflicts: Option<ConflictReport>,
+    /// Conflict report: every `ILLEGAL` transition, located to step and
+    /// phase. Recorded during execution, traced or not.
+    pub conflicts: ConflictReport,
 }
 
 impl RunSummary {
@@ -83,8 +84,8 @@ impl RtSimulation {
     }
 
     /// Elaborates and initializes `model` with tracing enabled, making
-    /// [`conflicts`](Self::conflicts) and
-    /// [`register_commits`](Self::register_commits) available.
+    /// [`register_commits`](Self::register_commits) and
+    /// [`to_vcd`](Self::to_vcd) available.
     ///
     /// # Errors
     ///
@@ -103,6 +104,9 @@ impl RtSimulation {
         options: ElaborateOptions,
     ) -> Result<RtSimulation, KernelError> {
         let (mut sim, layout) = elaborate(model, options);
+        // Conflict sites are a by-product of execution: the kernel logs
+        // every ILLEGAL transition inline, traced or not.
+        sim.watch_value(Value::Illegal);
         sim.initialize()?;
         Ok(RtSimulation {
             model: model.clone(),
@@ -290,43 +294,15 @@ impl RtSimulation {
     }
 
     /// The conflict report: every `ILLEGAL` occurrence, located to the
-    /// step and phase at which it became visible (§2.7). `None` when the
-    /// simulation was not traced.
-    pub fn conflicts(&self) -> Option<ConflictReport> {
-        let trace = self.sim.trace()?;
-        let mut conflicts = Vec::new();
-        for e in trace.events() {
-            if e.value != Value::Illegal {
-                continue;
-            }
-            let Some(visible_at) = PhaseTime::from_active_delta(e.at.delta) else {
-                continue;
-            };
-            let (site, name) = match self.layout.role(e.signal) {
-                SignalRole::Bus(n) => (ConflictSite::Bus, n.clone()),
-                SignalRole::ModIn1(n) | SignalRole::ModIn2(n) => {
-                    (ConflictSite::ModulePort, n.clone())
-                }
-                SignalRole::ModOp(n) => (ConflictSite::ModuleOpPort, n.clone()),
-                SignalRole::ModOut(n) => (ConflictSite::ModuleOut, n.clone()),
-                SignalRole::RegIn(n) => (ConflictSite::RegisterPort, n.clone()),
-                SignalRole::RegOut(n) => (ConflictSite::RegisterValue, n.clone()),
-                SignalRole::MemWin(n) | SignalRole::MemWaddr(n) => {
-                    (ConflictSite::MemoryPort, n.clone())
-                }
-                SignalRole::MemWord { mem, index } => (
-                    ConflictSite::MemoryWord,
-                    SignalRole::mem_word_name(mem, *index),
-                ),
-                SignalRole::ControlStep | SignalRole::PhaseSignal => continue,
-            };
-            conflicts.push(Conflict {
-                site,
-                name,
-                visible_at,
-            });
-        }
-        Some(ConflictReport { conflicts })
+    /// step and phase at which it became visible (§2.7). Read from the
+    /// kernel's watch log, so it works without tracing.
+    pub fn conflicts(&self) -> ConflictReport {
+        conflict_report(
+            self.sim
+                .watch_log()
+                .iter()
+                .map(|&(delta, signal)| (delta, self.layout.role(signal))),
+        )
     }
 
     /// The observable register commits: each change of a register's
@@ -371,6 +347,7 @@ impl RtSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::ConflictSite;
     use crate::model::fig1_model;
     use crate::op::Op;
     use crate::phase::Phase;
@@ -442,7 +419,7 @@ mod tests {
         let model = fig1_model(1, 2);
         let mut sim = RtSimulation::traced(&model).unwrap();
         let summary = sim.run_to_completion().unwrap();
-        assert!(summary.conflicts.unwrap().is_clean());
+        assert!(summary.conflicts.is_clean());
         assert!(sim.poisoned_registers().is_empty());
     }
 
@@ -486,7 +463,7 @@ mod tests {
 
         let mut sim = RtSimulation::traced(&m).unwrap();
         sim.run_to_completion().unwrap();
-        let report = sim.conflicts().unwrap();
+        let report = sim.conflicts();
         assert!(!report.is_clean());
         let first = report.first().unwrap();
         assert_eq!(first.site, ConflictSite::Bus);
@@ -533,7 +510,11 @@ mod tests {
 
         let mut sim = RtSimulation::traced(&m).unwrap();
         sim.run_to_completion().unwrap();
-        let report = sim.conflicts().unwrap();
+        let report = sim.conflicts();
+        // Untraced runs localize the same sites from the watch log.
+        let mut untraced = RtSimulation::new(&m).unwrap();
+        untraced.run_to_completion().unwrap();
+        assert_eq!(untraced.conflicts(), report);
         // Root cause: the bus collision driven at wa, visible at wb.
         let first = report.first().unwrap();
         assert_eq!(first.site, ConflictSite::Bus);

@@ -455,9 +455,10 @@ fn build_error_text(e: &FleetError) -> String {
 }
 
 /// Runs one job on a fresh, private engine instance of the selected
-/// backend (always traced, so conflict diagnoses are available in the
-/// report), enforcing the configured budgets and evaluating the value
-/// checkers when a program is armed.
+/// backend, enforcing the configured budgets and evaluating the value
+/// checkers when a program is armed. The run is untraced: the report
+/// reads only registers, counters and conflict sites, and every engine
+/// records the sites inline.
 #[allow(clippy::too_many_arguments)]
 fn run_job(
     name: &str,
@@ -474,10 +475,10 @@ fn run_job(
     }
     let t0 = Instant::now();
     let options = ExecOptions {
-        trace: true,
         delta_limit: delta_budget,
         deadline: wall_budget.map(|d| t0 + d),
         opt,
+        ..Default::default()
     };
     let (summary, check) = match check {
         Some(program) => {
@@ -506,7 +507,7 @@ fn run_job(
         tuples: model.tuples().len(),
         stats: summary.stats,
         registers: summary.registers,
-        conflicts: summary.conflicts.expect("traced run records conflicts"),
+        conflicts: summary.conflicts,
         wall_ns,
         check,
     })

@@ -36,8 +36,8 @@ pub struct JobResult {
     pub stats: SimStats,
     /// Final register values, in declaration order.
     pub registers: Vec<(String, Value)>,
-    /// Conflict diagnoses (every job runs traced, so localization to
-    /// step + phase is always available).
+    /// Conflict diagnoses, localized to step + phase (recorded inline by
+    /// every engine; jobs run untraced).
     pub conflicts: ConflictReport,
     /// Wall-clock nanoseconds this job took on its worker
     /// (machine-local; excluded from the deterministic JSON rendering).

@@ -255,9 +255,9 @@ mod tests {
         let mut sim = RtSimulation::traced(&syn.model).expect("elaborates");
         let summary = sim.run_to_completion().expect("runs");
         assert!(
-            summary.conflicts.as_ref().unwrap().is_clean(),
+            summary.conflicts.is_clean(),
             "emitted model must be conflict-free: {}",
-            summary.conflicts.unwrap()
+            summary.conflicts
         );
         let reference = g.evaluate(&map).expect("reference evaluation");
         for (name, reg) in &syn.output_registers {

@@ -587,9 +587,9 @@ mod tests {
         let mut sim = RtSimulation::traced(&chip.model).expect("elaborates");
         let summary = sim.run_to_completion().expect("runs");
         assert!(
-            summary.conflicts.as_ref().unwrap().is_clean(),
+            summary.conflicts.is_clean(),
             "microprogram must be conflict-free: {}",
-            summary.conflicts.unwrap()
+            summary.conflicts
         );
         let t1 = summary.register(THETA1_REG).expect("J0 exists");
         let t2 = summary.register(THETA2_REG).expect("J1 exists");
@@ -653,7 +653,7 @@ mod tests {
             let chip = build_fk_chip(t1, t2, constants).expect("fk chip builds");
             let mut sim = RtSimulation::traced(&chip.model).expect("elaborates");
             let summary = sim.run_to_completion().expect("runs");
-            assert!(summary.conflicts.as_ref().unwrap().is_clean());
+            assert!(summary.conflicts.is_clean());
             let x = summary.register(FK_X_REG).unwrap().num().unwrap();
             let y = summary.register(FK_Y_REG).unwrap().num().unwrap();
             let (gx, gy) = forward_kinematics_fx(t1, t2, &constants.geometry);
@@ -690,7 +690,7 @@ mod tests {
         let model = build_fir_chip(samples, coeffs).expect("fir chip builds");
         let mut sim = RtSimulation::traced(&model).expect("elaborates");
         let summary = sim.run_to_completion().expect("runs");
-        assert!(summary.conflicts.as_ref().unwrap().is_clean());
+        assert!(summary.conflicts.is_clean());
         let golden: i64 = samples
             .iter()
             .zip(&coeffs)

@@ -255,6 +255,11 @@ pub struct Simulator<V: SimValue> {
     /// `(delta, signal, effective value)` commits of observed signals, in
     /// chronological order. Independent of tracing.
     commit_log: Vec<(u64, SignalId, V)>,
+    /// The value the watch log filters on (`None` = watch log off).
+    watch: Option<V>,
+    /// `(delta, signal)` of every event whose new effective value equals
+    /// `watch`, in chronological order. Independent of tracing.
+    watch_log: Vec<(u64, SignalId)>,
     delta_limit: u64,
     life: LifeCycle,
     /// Scratch buffers reused across delta cycles. The `_back` buffers
@@ -306,6 +311,8 @@ impl<V: SimValue> Simulator<V> {
             trace: None,
             observe: Vec::new(),
             commit_log: Vec::new(),
+            watch: None,
+            watch_log: Vec::new(),
             delta_limit: 100_000_000,
             life: LifeCycle::Building,
             scratch_out: Vec::new(),
@@ -754,6 +761,24 @@ impl<V: SimValue> Simulator<V> {
         &self.commit_log
     }
 
+    /// Arms the watch log on `value`: every subsequent event whose new
+    /// effective value equals it is appended to the
+    /// [watch log](Self::watch_log) as `(delta, signal)`.
+    ///
+    /// The log sees exactly the events a trace would record after
+    /// initialization, in the same order, but works with tracing off and
+    /// costs one comparison per event. Initial values are not logged.
+    /// Calling this again replaces the watched value but keeps the log.
+    pub fn watch_value(&mut self, value: V) {
+        self.watch = Some(value);
+    }
+
+    /// The events that matched the [watched value](Self::watch_value) so
+    /// far, in chronological order. Empty unless the watch log is armed.
+    pub fn watch_log(&self) -> &[(u64, SignalId)] {
+        &self.watch_log
+    }
+
     fn instant_exhausted(&self) -> bool {
         self.runnable.is_empty() && self.next_delta.is_empty() && self.zero_wakes.is_empty()
     }
@@ -799,6 +824,9 @@ impl<V: SimValue> Simulator<V> {
             if self.observe.get(sid.index()).copied().unwrap_or(false) {
                 self.commit_log
                     .push((self.now.delta, sid, effective.clone()));
+            }
+            if self.watch.as_ref() == Some(&effective) {
+                self.watch_log.push((self.now.delta, sid));
             }
             if let Some(trace) = &mut self.trace {
                 trace.record(self.now, sid, effective);
@@ -1044,6 +1072,39 @@ mod tests {
         sim.run().unwrap();
         // s1 commits at delta 1, s3 at delta 3; s2's commit is unobserved.
         assert_eq!(sim.commit_log(), [(1, s1, 1), (3, s3, 3)]);
+    }
+
+    #[test]
+    fn watch_log_records_only_matching_values_in_order_untraced() {
+        // s1 counts 1, 2, 3 through delta cycles; s2 follows s1 one
+        // delta behind. Watching 2 must log s1's event, then s2's, and
+        // nothing else — with tracing off.
+        let mut sim: Simulator<i64> = Simulator::new();
+        let s1 = sim.signal("s1", 0);
+        let s2 = sim.signal("s2", 2);
+        let mut n = 0;
+        sim.process("count", &[s1], move |ctx: &mut ProcessCtx<'_, i64>| {
+            n += 1;
+            if n <= 3 {
+                ctx.assign(s1, n);
+                Wait::on(s1)
+            } else {
+                Wait::Done
+            }
+        });
+        sim.process("follow", &[s2], move |ctx: &mut ProcessCtx<'_, i64>| {
+            let v = *ctx.value(s1);
+            ctx.assign(s2, v);
+            Wait::on(s1)
+        });
+        sim.watch_value(2);
+        sim.initialize().unwrap();
+        sim.run().unwrap();
+        assert!(sim.trace().is_none(), "tracing stays off");
+        // s2's initial 2 is state, not an event. s2 leaves 2 at delta 1
+        // (follows s1's initial 0), s1 reaches 2 at delta 2 and s2
+        // follows at delta 3.
+        assert_eq!(sim.watch_log(), [(2, s1), (3, s2)]);
     }
 
     #[test]

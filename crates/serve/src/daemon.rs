@@ -351,6 +351,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_bad_json_and_the_session_survives() {
+        // Nesting far past the parser's depth bound must be answered, not
+        // overflow the stack and abort the daemon.
+        let daemon = Daemon::new(ServeConfig::default());
+        let input = format!("{}\n{{\"id\":2,\"op\":\"ping\"}}\n", "[".repeat(200_000));
+        let (lines, outcome) = serve(&daemon, &input);
+        assert_eq!(outcome, ConnectionOutcome::Eof);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        let first = Json::parse(&lines[0]).expect("valid envelope");
+        assert_eq!(
+            first
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("bad-json")
+        );
+        assert_eq!(decode_payload(&lines[1]).as_deref(), Some("pong\n"));
+    }
+
+    #[test]
     fn shutdown_is_acknowledged_and_stops_the_session() {
         let daemon = Daemon::new(ServeConfig::default());
         let input = "{\"id\":1,\"op\":\"shutdown\"}\n{\"id\":2,\"op\":\"ping\"}\n";

@@ -175,11 +175,13 @@ fn cache_get(
 
 // ------------------------------------------------------------------ jobs
 
-/// `run`: one traced simulation, rendered as the `clockless run --json`
+/// `run`: one untraced simulation, rendered as the `clockless run --json`
 /// document. The warm path executes the cached
 /// [`ExecPlan`](clockless_core::plan::ExecPlan) directly —
 /// no parse, no lowering — which is where the daemon's >=5x speedup over
-/// one-shot CLI runs comes from. Backends are observationally
+/// one-shot CLI runs comes from. The payload needs no waveform: every
+/// engine records conflict sites inline, so no trace, commit log or VCD
+/// is built only to be dropped. Backends are observationally
 /// byte-identical, so an explicit `"backend":"interpreted"` changes the
 /// engine but never the payload.
 fn job_run(body: &Json, ctx: &JobCtx) -> Result<String, JobError> {
@@ -187,7 +189,7 @@ fn job_run(body: &Json, ctx: &JobCtx) -> Result<String, JobError> {
     let backend: Option<Backend> = opt_parse(body, "backend")?;
     let opt = opt_level(body)?;
     let cached = cache_get(ctx, &text, vhdl, opt)?;
-    let options = ExecOptions::traced().at_opt(opt);
+    let options = ExecOptions::default().at_opt(opt);
     let outcome = match backend {
         Some(Backend::Interpreted) => Backend::Interpreted.execute(&cached.model, &options),
         _ => cached.execute(&options),

@@ -114,17 +114,17 @@ impl CrossCheck {
     }
 }
 
-/// Runs the traced simulation and compares observed `ILLEGAL`s with the
-/// static predictions.
+/// Runs the simulation and compares observed `ILLEGAL`s with the static
+/// predictions. The run is untraced: the kernel records conflict sites
+/// inline.
 ///
 /// # Errors
 ///
-/// Propagates kernel errors from the traced run.
+/// Propagates kernel errors from the run.
 pub fn cross_check(model: &RtModel) -> Result<CrossCheck, KernelError> {
     let predicted = static_conflicts(model);
-    let mut sim = RtSimulation::traced(model)?;
-    sim.run_to_completion()?;
-    let observed = sim.conflicts().expect("traced run records conflicts");
+    let mut sim = RtSimulation::new(model)?;
+    let observed = sim.run_to_completion()?.conflicts;
 
     let mut confirmed = Vec::new();
     let mut unconfirmed = Vec::new();

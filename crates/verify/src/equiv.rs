@@ -22,8 +22,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use clockless_core::{Backend, ExecOptions, OptLevel, RtModel, RtSimulation, Value};
+use clockless_core::{Backend, ExecOptions, ExecOutcome, OptLevel, RtModel, RtSimulation, Value};
 use clockless_hls::{Dfg, Operand, Synthesized, ValueId};
+use clockless_kernel::KernelError;
 
 use crate::normalize::equivalent;
 use crate::symbolic::{symbolic_run, Expr, SymbolicError};
@@ -274,7 +275,9 @@ pub struct BackendDivergence {
     /// The model that exposed the divergence.
     pub model: String,
     /// Which observable differed (`"registers"`, `"stats"`,
-    /// `"conflicts"`, `"commits"`, `"vcd"`, or `"error"`).
+    /// `"conflicts"`, `"commits"`, `"vcd"`, or `"error"`; the traced
+    /// vs untraced conflict cross-checks name their trace modes, as in
+    /// `"conflicts (traced vs untraced)"`).
     pub field: &'static str,
     /// The interpreted engine's rendering of that observable.
     pub interpreted: String,
@@ -300,7 +303,9 @@ impl std::error::Error for BackendDivergence {}
 /// observable for byte identity: final registers, kernel statistics,
 /// conflict diagnoses (exact site, step and phase), the register-commit
 /// log, the VCD waveform, and, when a run fails, the rendered error
-/// itself.
+/// itself. Conflict sites are recorded inline rather than read back from
+/// the trace, so each engine's untraced report is also held against the
+/// other engine's traced one.
 ///
 /// This is the proof obligation the pluggable-backend layer carries: the
 /// compiled phase-schedule engine and its optimizing plan compiler may
@@ -324,24 +329,54 @@ impl std::error::Error for BackendDivergence {}
 /// # Ok::<(), clockless_verify::equiv::BackendDivergence>(())
 /// ```
 pub fn backend_equiv(model: &RtModel) -> Result<(), BackendDivergence> {
-    for options in [ExecOptions::traced(), ExecOptions::default()] {
-        for level in OptLevel::ALL {
-            backend_equiv_with(model, &options.at_opt(level))?;
-        }
+    let traced = ExecOptions::traced();
+    let untraced = ExecOptions::default();
+    // The interpreter ignores the opt level: one run per trace mode.
+    let interp_traced = Backend::Interpreted.execute(model, &traced);
+    let interp_untraced = Backend::Interpreted.execute(model, &untraced);
+    for level in OptLevel::ALL {
+        let compiled_traced = Backend::Compiled.execute(model, &traced.at_opt(level));
+        let compiled_untraced = Backend::Compiled.execute(model, &untraced.at_opt(level));
+        compare_outcomes(model, &interp_traced, &compiled_traced)?;
+        compare_outcomes(model, &interp_untraced, &compiled_untraced)?;
+        compare_conflicts(
+            model,
+            "conflicts (traced vs untraced)",
+            &interp_traced,
+            &compiled_untraced,
+        )?;
+        compare_conflicts(
+            model,
+            "conflicts (untraced vs traced)",
+            &interp_untraced,
+            &compiled_traced,
+        )?;
     }
     Ok(())
 }
 
-/// The single-configuration core of [`backend_equiv`].
-fn backend_equiv_with(model: &RtModel, options: &ExecOptions) -> Result<(), BackendDivergence> {
-    let diverge = |field: &'static str, interpreted: String, compiled: String| BackendDivergence {
+fn divergence(
+    model: &RtModel,
+    field: &'static str,
+    interpreted: String,
+    compiled: String,
+) -> BackendDivergence {
+    BackendDivergence {
         model: model.name().to_string(),
         field,
         interpreted,
         compiled,
-    };
-    let interp = Backend::Interpreted.execute(model, options);
-    let compiled = Backend::Compiled.execute(model, options);
+    }
+}
+
+/// One interpreted-vs-compiled comparison of two runs with the same
+/// options.
+fn compare_outcomes(
+    model: &RtModel,
+    interp: &Result<ExecOutcome, KernelError>,
+    compiled: &Result<ExecOutcome, KernelError>,
+) -> Result<(), BackendDivergence> {
+    let diverge = |field, interpreted, compiled| divergence(model, field, interpreted, compiled);
     match (interp, compiled) {
         (Err(a), Err(b)) => {
             if a.to_string() != b.to_string() {
@@ -366,13 +401,7 @@ fn backend_equiv_with(model: &RtModel, options: &ExecOptions) -> Result<(), Back
                     format!("{:?}", b.summary.stats),
                 ));
             }
-            if a.summary.conflicts != b.summary.conflicts {
-                return Err(diverge(
-                    "conflicts",
-                    format!("{:?}", a.summary.conflicts),
-                    format!("{:?}", b.summary.conflicts),
-                ));
-            }
+            compare_conflicts(model, "conflicts", interp, compiled)?;
             if a.commits != b.commits {
                 return Err(diverge(
                     "commits",
@@ -383,12 +412,31 @@ fn backend_equiv_with(model: &RtModel, options: &ExecOptions) -> Result<(), Back
             if a.vcd != b.vcd {
                 return Err(diverge(
                     "vcd",
-                    a.vcd.unwrap_or_else(|| "<none>".into()),
-                    b.vcd.unwrap_or_else(|| "<none>".into()),
+                    a.vcd.clone().unwrap_or_else(|| "<none>".into()),
+                    b.vcd.clone().unwrap_or_else(|| "<none>".into()),
                 ));
             }
             Ok(())
         }
+    }
+}
+
+/// Compares the conflict reports of two completed runs; runs that failed
+/// are [`compare_outcomes`]'s to judge.
+fn compare_conflicts(
+    model: &RtModel,
+    field: &'static str,
+    interp: &Result<ExecOutcome, KernelError>,
+    compiled: &Result<ExecOutcome, KernelError>,
+) -> Result<(), BackendDivergence> {
+    match (interp, compiled) {
+        (Ok(a), Ok(b)) if a.summary.conflicts != b.summary.conflicts => Err(divergence(
+            model,
+            field,
+            format!("{:?}", a.summary.conflicts),
+            format!("{:?}", b.summary.conflicts),
+        )),
+        _ => Ok(()),
     }
 }
 

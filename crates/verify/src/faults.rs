@@ -1036,7 +1036,7 @@ pub fn run_campaign_with_faults(
     }
     let golden = config
         .backend
-        .execute(model, &ExecOptions::traced().at_opt(config.opt))
+        .execute(model, &ExecOptions::default().at_opt(config.opt))
         .map_err(|e| FaultsError::Golden { msg: e.to_string() })?
         .summary;
     let golden_registers: HashMap<&str, Value> = golden

@@ -11,7 +11,8 @@
 //!    interpreted delta kernel against the compiled phase-schedule
 //!    walker at **every optimization level** (`-O0` raw walk, `-O1`
 //!    fused/specialized, `-O2` folded with dead spurs eliminated), all
-//!    byte-identical on every observable
+//!    byte-identical on every observable, with each engine's untraced
+//!    conflict sites held against the traced ones
 //!    ([`crate::equiv::backend_equiv`]).
 //! 2. **Text round trip** — the canonical `.rtl` rendering must re-parse
 //!    to the identical canonical rendering.

@@ -5,7 +5,7 @@
 //! When an allocator (or a fuzzer) produces dozens of schedule
 //! candidates, running those checks serially wastes the independence of
 //! the jobs — exactly the shape the `clockless-fleet` engine exists for.
-//! [`conflict_sweep`] farms the traced dynamic runs over a fleet worker
+//! [`conflict_sweep`] farms the (untraced) dynamic runs over a fleet worker
 //! pool and folds each result back against its static prediction.
 
 use clockless_core::RtModel;

@@ -55,10 +55,12 @@ fn build_buggy_model() -> Result<RtModel, ModelError> {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = build_buggy_model()?;
 
-    // Dynamic detection: run traced and read the conflict report.
+    // Dynamic detection: run and read the conflict report. The kernel
+    // records every ILLEGAL transition as it happens; tracing is only for
+    // the waveform exported below.
     let mut sim = RtSimulation::traced(&model)?;
     let summary = sim.run_to_completion()?;
-    let report = summary.conflicts.expect("traced run records conflicts");
+    let report = summary.conflicts;
     println!("dynamic conflict report:\n{report}");
     let first = report.first().expect("the bug is detected");
     assert_eq!(first.name, "BusA");

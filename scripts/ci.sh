@@ -156,6 +156,16 @@ grep -q '"checkers": "all"' <<<"$serve_checked"
 serve_run_o0="$(echo '{"id":5,"op":"run","path":"models/fig1.rtl","opt":0}' \
   | ./target/release/clockless client "$serve_sock" --payload)"
 [ "$serve_run_o0" = "$cli_run" ]
+# The conflicted corpus model: untraced serve runs must still list every
+# conflict site, byte-identical to the CLI on the default backend, the
+# interpreter and -O0.
+cli_conflict="$(./target/release/clockless run models/conflict.rtl --json)"
+grep -q '"ILLEGAL on bus `X`' <<<"$cli_conflict"
+for extra in '' ',"backend":"interpreted"' ',"opt":0'; do
+  serve_conflict="$(echo "{\"id\":6,\"op\":\"run\",\"path\":\"models/conflict.rtl\"$extra}" \
+    | ./target/release/clockless client "$serve_sock" --payload)"
+  [ "$serve_conflict" = "$cli_conflict" ]
+done
 echo '{"id":3,"op":"shutdown"}' | ./target/release/clockless client "$serve_sock" >/dev/null
 wait "$serve_pid"
 [ ! -e "$serve_sock" ]

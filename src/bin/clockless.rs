@@ -216,6 +216,10 @@ fn check_report_json(artifact: &str, report: &clockless::core::CheckReport) -> S
     )
 }
 
+/// `clockless run`: one simulation, printed as the text report or, with
+/// `--json`, as the `run --json` document. The run is traced only when
+/// `--trace` or `--vcd` asks for the waveform; conflict sites come from
+/// the engines' inline logs either way.
 #[allow(clippy::too_many_arguments)]
 fn cmd_run(
     path: &str,
@@ -229,10 +233,10 @@ fn cmd_run(
 ) -> Result<(), String> {
     let model = load(path)?;
     let options = ExecOptions {
-        // JSON reports always trace: the document includes conflict
-        // sites, and the serve daemon's `run` payload (always traced)
-        // must diff clean against this output.
-        trace: trace || json || vcd.is_some(),
+        // Only the waveform needs a trace: every engine records conflict
+        // sites inline, so `--json` alone runs untraced and still lists
+        // them (byte-identical to the serve daemon's `run` payload).
+        trace: trace || vcd.is_some(),
         opt,
         ..Default::default()
     };
@@ -289,8 +293,10 @@ fn cmd_run(
     for (name, value) in &summary.registers {
         println!("  {name:<16} {value}");
     }
-    if let Some(conflicts) = &summary.conflicts {
-        print!("{conflicts}");
+    // The text report keeps its shape: the conflict block belongs to
+    // traced runs (`--trace` / `--vcd`).
+    if options.trace {
+        print!("{}", summary.conflicts);
     }
     if let Some(out) = vcd {
         let doc = outcome.vcd.as_deref().expect("traced run exports VCD");

@@ -46,7 +46,7 @@ fn assert_conflict_at(model: &RtModel, name: &str, visible: PhaseTime) {
     // Dynamic detector.
     let mut sim = RtSimulation::traced(model).unwrap();
     sim.run_to_completion().unwrap();
-    let report = sim.conflicts().unwrap();
+    let report = sim.conflicts();
     let first = report
         .first()
         .unwrap_or_else(|| panic!("no conflict found on {name}"));
@@ -128,7 +128,7 @@ fn module_port_fed_twice() {
     // ADD.in1 receives X's and Z's values at rb of step 3; visible at cm.
     let mut sim = RtSimulation::traced(&m).unwrap();
     sim.run_to_completion().unwrap();
-    let report = sim.conflicts().unwrap();
+    let report = sim.conflicts();
     assert!(
         report
             .conflicts

@@ -209,7 +209,7 @@ fn unreachable_pose_never_reaches_the_chip() {
     let summary = sim.run_to_completion().unwrap();
     // …and the sqrt of the negative discriminant poisons the datapath:
     // the conflict report localizes the ILLEGAL to the CORDIC core.
-    let conflicts = summary.conflicts.unwrap();
+    let conflicts = summary.conflicts;
     assert!(
         conflicts.conflicts.iter().any(|c| c.name == "CORDIC"),
         "expected CORDIC ILLEGAL, got {conflicts}"

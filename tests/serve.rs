@@ -102,6 +102,35 @@ fn run_json_renders_the_shared_report() {
     assert_eq!(doc, compiled);
 }
 
+/// `models/conflict.rtl` is the corpus model with a non-empty
+/// `conflicts` list. Conflict sites are recorded inline by every engine,
+/// so its document is pinned byte-for-byte on the interpreter and at
+/// every compiled `-O` level, traced and untraced alike.
+#[test]
+fn conflict_corpus_model_matches_golden_traced_and_untraced() {
+    let golden = std::fs::read_to_string(repo_path("tests/golden/run_conflict.json"))
+        .expect("golden present");
+    assert!(
+        golden.contains("\"ILLEGAL on bus `X` visible at step 2 phase rb\""),
+        "{golden}"
+    );
+    let model = repo_path("models/conflict.rtl");
+    let engines: [&[&str]; 4] = [
+        &["--backend", "interpreted"],
+        &["--backend", "compiled", "--opt", "0"],
+        &["--backend", "compiled", "--opt", "1"],
+        &["--backend", "compiled", "--opt", "2"],
+    ];
+    for engine in engines {
+        for trace in [&[][..], &["--trace"][..]] {
+            let mut args = vec!["run", model.as_str(), "--json"];
+            args.extend_from_slice(engine);
+            args.extend_from_slice(trace);
+            assert_eq!(cli_stdout(&args, true), golden, "run {args:?}");
+        }
+    }
+}
+
 // ------------------------------------------------- daemon vs CLI, stdio
 
 /// Drives `clockless serve` (stdio mode) with request lines, returns
@@ -155,6 +184,24 @@ fn daemon_payloads_are_byte_identical_to_one_shot_cli() {
         decode_payload(&lines[2]).as_deref(),
         Some(cli_fleet.as_str())
     );
+}
+
+/// The daemon's untraced `run` lists the conflicted model's sites
+/// exactly as the golden does, on the cached plan and the interpreter.
+#[test]
+fn daemon_run_of_conflicted_model_matches_golden() {
+    let golden = std::fs::read_to_string(repo_path("tests/golden/run_conflict.json"))
+        .expect("golden present");
+    let model = repo_path("models/conflict.rtl");
+    let requests = format!(
+        "{{\"id\":1,\"op\":\"run\",\"path\":\"{model}\"}}\n\
+         {{\"id\":2,\"op\":\"run\",\"path\":\"{model}\",\"backend\":\"interpreted\"}}\n"
+    );
+    let lines = serve_stdio(&requests);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    for line in &lines {
+        assert_eq!(decode_payload(line).as_deref(), Some(golden.as_str()));
+    }
 }
 
 #[test]
